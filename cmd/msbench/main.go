@@ -6,8 +6,9 @@
 //
 // Independent simulation jobs run concurrently on a worker pool bounded
 // by GOMAXPROCS, with builds and functional-oracle runs memoized per
-// (workload, mode, scale); all tables are byte-identical to the
-// sequential path (-seq).
+// (workload, mode, scale) and verified results memoized per (program,
+// configuration); all tables are byte-identical to the sequential path
+// (-seq).
 //
 // Usage:
 //
@@ -17,7 +18,6 @@
 //	msbench -ablate
 //	msbench -all -seq             force the sequential path
 //	msbench -all -json out.json   also write a timing/throughput report
-//	msbench -all -noskip          force the dense per-cycle simulation loop
 //	msbench -sections table3,sweep
 //	                              run an arbitrary subset of sections by name
 //	msbench -sampled -sample-gate 10
@@ -62,7 +62,6 @@ func main() {
 		par        = flag.Int("par", 0, "cap concurrent simulation jobs (default GOMAXPROCS)")
 		jsonOut    = flag.String("json", "", "write a machine-readable timing/throughput report to this file (- for stdout)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		noskip     = flag.Bool("noskip", false, "disable the simulator's wakeup scheduler (dense per-cycle ticking; tables are byte-identical either way)")
 		sections   = flag.String("sections", "", "comma-separated sections to run ("+strings.Join(bench.SectionNames(), ",")+")")
 		baseline   = flag.String("baseline", "", "compare the -json report's section times against this checked-in BENCH_*.json and exit 1 on regression")
 		tolerance  = flag.Float64("tolerance", 0.25, "allowed fractional slowdown per section for -baseline (0.25 = +25%)")
@@ -74,7 +73,6 @@ func main() {
 	} else if *par > 0 {
 		bench.SetWorkers(*par)
 	}
-	bench.SetNoSkip(*noskip)
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		check(err)

@@ -58,6 +58,23 @@ func TestAssembleErrorPaths(t *testing.T) {
 	}
 }
 
+// TestNumbersParseWhole pins that an integer literal is read as a whole
+// token: a stray character makes it a bad number instead of silently
+// truncating it, and a leading zero does not switch to octal.
+func TestNumbersParseWhole(t *testing.T) {
+	for _, tok := range []string{"12abc", "0b101", "1_000", "0x", "0xzz", "0x1g"} {
+		_, err := Assemble("main:\n\tli $t0, "+tok+"\n", ModeScalar)
+		if err == nil || !strings.Contains(err.Error(), "bad number") {
+			t.Errorf("%s: err = %v, want a bad number", tok, err)
+		}
+	}
+	for tok, want := range map[string]int64{"0": 0, "017": 17, "4096": 4096, "0x1F": 31, "0X10": 16, "0xffffffff": 0xffffffff} {
+		if v, err := parseNum(tok); err != nil || v != want {
+			t.Errorf("parseNum(%q) = %d, %v; want %d", tok, v, err, want)
+		}
+	}
+}
+
 func TestEntrySymbolUndefined(t *testing.T) {
 	if _, err := Assemble(".global nowhere\nmain:\n\tsyscall\n", ModeScalar); err == nil {
 		t.Error("undefined entry should fail")

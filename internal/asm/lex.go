@@ -10,6 +10,7 @@ package asm
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -143,27 +144,17 @@ func isIdentChar(c byte) bool {
 	return isIdentStart(c) || (c >= '0' && c <= '9')
 }
 
+// parseNum parses an integer literal token whole: decimal, or
+// hexadecimal after a 0x/0X prefix. A token with any other character in
+// it (12abc, 0b101, 1_000) is a bad number, not a truncated one.
 func parseNum(s string) (int64, error) {
-	neg := false
-	if strings.HasPrefix(s, "-") {
-		neg = true
-		s = s[1:]
+	base, digits := 10, s
+	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
+		base, digits = 16, s[2:]
 	}
-	var v int64
-	var err error
-	switch {
-	case strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X"):
-		_, err = fmt.Sscanf(s[2:], "%x", &v)
-	case strings.ContainsAny(s, ".eE") && !strings.HasPrefix(s, "0x"):
-		return 0, fmt.Errorf("float literal %q where integer expected", s)
-	default:
-		_, err = fmt.Sscanf(s, "%d", &v)
-	}
+	v, err := strconv.ParseInt(digits, base, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad number %q", s)
-	}
-	if neg {
-		v = -v
 	}
 	return v, nil
 }

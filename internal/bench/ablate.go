@@ -19,15 +19,6 @@ type AblationRow struct {
 	Extra   string
 }
 
-// runMSConfig runs one multiscalar binary under cfg, verifying against
-// the oracle reference o (the memoized functional run of the same
-// program — or of a semantically equivalent transform of it). Points
-// identical to an already-simulated one — every sweep's unablated row —
-// fast-forward from its shared snapshot (runShared).
-func runMSConfig(p *isa.Program, o Oracle, cfg core.Config, input []byte) (*core.Result, error) {
-	return runShared(p, o, cfg, input, "ablation run")
-}
-
 // sweep builds `name` once (memoized), fans the configuration points out
 // over the worker pool, and assembles rows in input order with speedups
 // relative to row 0.
@@ -42,10 +33,9 @@ func sweep(name string, scale Scale, n int, cfgOf func(i int) core.Config,
 	if err != nil {
 		return nil, err
 	}
-	input := inputFor(name)
 	results := make([]*core.Result, n)
 	err = runJobs(n, func(i int) error {
-		res, err := runMSConfig(p, o, cfgOf(i), input)
+		res, err := runShared(p, o, cfgOf(i), "ablation run")
 		results[i] = res
 		return err
 	})
@@ -138,11 +128,10 @@ func ForwardingAblation(name string, scale Scale) ([]AblationRow, error) {
 	stripped := cloneProgram(p)
 	stripForwarding(stripped)
 
-	input := inputFor(name)
 	results := make([]*core.Result, 2)
 	progs := []*isa.Program{p, stripped}
 	err = runJobs(2, func(i int) error {
-		res, err := runMSConfig(progs[i], o, core.DefaultConfig(8, 1, false), input)
+		res, err := runShared(progs[i], o, core.DefaultConfig(8, 1, false), "ablation run")
 		results[i] = res
 		return err
 	})

@@ -46,11 +46,11 @@ func AnnotateAblation(scale Scale) ([]AnnotateRow, error) {
 		}
 		auto, plan := annotate.Optimize(p)
 		cfg := core.DefaultConfig(8, 1, false)
-		hand, err := runMSConfig(p, o, cfg, inputFor(w.Name))
+		hand, err := runShared(p, o, cfg, "ablation run")
 		if err != nil {
 			return fmt.Errorf("%s (hand): %w", w.Name, err)
 		}
-		opt, err := runMSConfig(auto, o, cfg, inputFor(w.Name))
+		opt, err := runShared(auto, o, cfg, "ablation run")
 		if err != nil {
 			return fmt.Errorf("%s (optimized): %w", w.Name, err)
 		}

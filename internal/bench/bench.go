@@ -98,7 +98,7 @@ func runOne(w *workloads.Workload, scale Scale, units, width int, ooo bool) (*co
 		return nil, err
 	}
 	// Verification is against the memoized oracle inside runShared, not
-	// WithVerify (which would re-interpret the program on every
+	// Spec.Verify (which would re-interpret the program on every
 	// configuration).
 	var cfg core.Config
 	if units <= 1 {
@@ -106,7 +106,7 @@ func runOne(w *workloads.Workload, scale Scale, units, width int, ooo bool) (*co
 	} else {
 		cfg = core.DefaultConfig(units, width, ooo)
 	}
-	return runShared(p, o, cfg, inputFor(w.Name),
+	return runShared(p, o, cfg,
 		fmt.Sprintf("%s units=%d width=%d ooo=%v", w.Name, units, width, ooo))
 }
 

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,7 +8,6 @@ import (
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
-	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/job"
 	"multiscalar/internal/workloads"
@@ -78,250 +76,141 @@ func runJobs(n int, fn func(i int) error) error {
 	return nil
 }
 
-// Oracle is the functional-simulator reference for one binary: the
-// dynamic instruction counts Table 2 reports and the output every timing
-// run must reproduce.
-type Oracle struct {
-	ICount                  uint64
-	Loads, Stores, Branches uint64
-	Out                     string
-}
-
-// inputs maps workload name → program input bytes (SysReadChar stream).
-// Nothing in today's suite consumes input, but the memo keys below honor
-// the hash(program, config, stdin) contract so a future stdin-consuming
-// workload cannot alias the cache entries of another input.
-var inputs sync.Map // string -> []byte
-
-// SetInput registers the bytes a workload reads as its input stream.
-// Every oracle and timing run of that workload gets a fresh reader over
-// the same bytes, and the input's hash becomes part of the build- and
-// run-memo keys.
-func SetInput(name string, data []byte) { inputs.Store(name, data) }
-
-func inputFor(name string) []byte {
-	if v, ok := inputs.Load(name); ok {
-		return v.([]byte)
-	}
-	return nil
-}
-
-// buildSpec is the job.Spec a memoized build/oracle execution is keyed
-// by: the assemble-shaped spec of one workload at one (mode, resolved
-// scale), plus the registered input. The Spec's canonical encoding
-// preserves the old buildKey contract — nil input is distinct from
-// empty-but-present input.
-func buildSpec(w *workloads.Workload, mode asm.Mode, scale Scale, input []byte) *job.Spec {
-	return &job.Spec{Op: job.OpAssemble, Workload: w.Name, Mode: mode, Scale: scale.of(w), Stdin: input}
-}
-
-type buildEntry struct {
-	once   sync.Once
-	prog   *isa.Program
-	oracle Oracle
-	err    error
-}
+// The harness keeps two single-flight memos, both keyed by job.Spec
+// keys and dropped by ResetMemo:
+//
+//   - oracles: per assemble spec (workload, mode, resolved scale), the
+//     program job.Spec.Resolve builds — itself memoized by job — and the
+//     functional oracle job.RunOracle computes over it.
+//   - sims: per simulate spec (program, canonical config), the verified
+//     core.Result of one job.Execute.
+//
+// The sections overlap heavily: every ablation sweep contains the
+// unablated Section 5.1 configuration, the breakdown re-runs the main
+// tables' 8-unit points, and the speedup curves re-run their scalar
+// baselines and 4/8-unit points. The first request for a point simulates
+// it; every duplicate gets a copy of the stored Result, which is
+// identical to an independent full run (TestRunSharingMatchesIsolated).
 
 var (
-	memoMu sync.Mutex
-	memo   = map[string]*buildEntry{}
+	oracles memo[built]
+	sims    memo[core.Result]
 
-	// buildsPerformed counts actual assemble+oracle executions (not memo
-	// hits) — observability for tests and the JSON report.
-	buildsPerformed atomic.Uint64
+	// buildsPerformed counts oracle-memo misses (build + oracle runs);
+	// runsRestored counts simulation points answered from the sims memo.
+	// Both feed the JSON report and the tests.
+	buildsPerformed, runsRestored atomic.Uint64
 )
 
-// buildOracle assembles workload w in the given mode and runs the
-// functional oracle over it, memoized per job.Spec key — hash(workload,
-// mode, resolved scale, stdin) — for the life of the process. Concurrent
-// first requests single-flight: exactly one goroutine builds, the rest
-// wait and share the result. The returned Program is shared and must not
-// be mutated — clone (cloneProgram) before transforming it.
-func buildOracle(w *workloads.Workload, mode asm.Mode, scale Scale) (*isa.Program, Oracle, error) {
-	input := inputFor(w.Name)
-	spec := buildSpec(w, mode, scale, input)
-	key, err := spec.Key()
-	if err != nil {
-		return nil, Oracle{}, err
-	}
-	memoMu.Lock()
-	e := memo[key]
-	if e == nil {
-		e = &buildEntry{}
-		memo[key] = e
-	}
-	memoMu.Unlock()
-	e.once.Do(func() {
-		buildsPerformed.Add(1)
-		e.prog, e.oracle, e.err = buildAndRun(w, mode, spec.Scale, input)
-	})
-	return e.prog, e.oracle, e.err
+// memo is a single-flight map: the first caller for a key runs the work,
+// concurrent callers wait for it and share its value and error.
+type memo[T any] struct {
+	mu sync.Mutex
+	m  map[string]*flight[T]
 }
 
-func buildAndRun(w *workloads.Workload, mode asm.Mode, scale int, input []byte) (*isa.Program, Oracle, error) {
-	p, err := w.Build(mode, scale)
-	if err != nil {
-		return nil, Oracle{}, err
-	}
-	env := interp.NewSysEnv()
-	if input != nil {
-		env.In = bytes.NewReader(input)
-	}
-	m := interp.NewMachine(p, env)
-	if err := m.Run(1 << 40); err != nil {
-		return nil, Oracle{}, err
-	}
-	return p, Oracle{
-		ICount:   m.ICount,
-		Loads:    m.LoadCount,
-		Stores:   m.StoreCount,
-		Branches: m.BranchCount,
-		Out:      env.Out.String(),
-	}, nil
-}
-
-// ResetMemo drops the build/oracle and shared-run caches (tests and
-// long-lived hosts).
-func ResetMemo() {
-	memoMu.Lock()
-	memo = map[string]*buildEntry{}
-	memoMu.Unlock()
-	simMu.Lock()
-	simMemo = map[string]*simEntry{}
-	simMu.Unlock()
-}
-
-// Shared-prefix fast-forward across duplicate simulation points.
-//
-// The harness's sections overlap heavily: every ablation sweep contains
-// the unablated configuration (ring hop 1, 256 stall-policy ARB
-// entries, the PAs predictor, private FUs are all the Section 5.1
-// defaults), the breakdown re-runs the main tables' 8-unit points, and
-// the speedup curves re-run their scalar baselines and 4/8-unit points.
-// Two jobs over the same (program, configuration, input) share their
-// entire execution — the degenerate, whole-run case of a shared
-// unablated prefix — so the first job simulates the prefix once and
-// snapshots the finished machine, and every later job fans out from the
-// restored state: Restore + Run folds the prefix's cycles and counters
-// into a Result of its own. Rows come out byte-identical to independent
-// full runs (pinned by TestRunSharingMatchesIsolated, the same
-// discipline as TestSkipMatchesDense).
-
-// The shared-run memo is keyed by the content-addressed job.Spec key of
-// the simulate job — hash(program, canonical config, stdin) — the same
-// identity the serve engine's result cache and the facade's SubmitJob
-// use. Config's runtime-only trace fields never participate (the
-// canonical encoding excludes them; the harness runs untraced, and a
-// traced run must not share state anyway).
-
-type simEntry struct {
+type flight[T any] struct {
 	once sync.Once
-	snap []byte // finished-machine snapshot (internal/snapshot format)
+	val  T
 	err  error
 }
 
-var (
-	simMu   sync.Mutex
-	simMemo = map[string]*simEntry{}
-
-	// runsRestored counts simulation points answered by restoring a
-	// shared snapshot instead of re-simulating (JSON report, tests).
-	runsRestored atomic.Uint64
-)
-
-// RunsRestored reports how many simulation points were answered from a
-// shared finished-run snapshot rather than simulated again.
-func RunsRestored() uint64 { return runsRestored.Load() }
-
-// newMachine mirrors the facade's dispatch: a binary without task
-// descriptors on a one-unit configuration runs on the scalar baseline,
-// everything else on the multiscalar machine.
-type machine interface {
-	Run() (*core.Result, error)
-	Save() ([]byte, error)
-	Restore([]byte) error
+// do returns the value for key, running fn once per key. first reports
+// whether this call ran fn.
+func (m *memo[T]) do(key string, fn func() (T, error)) (val T, first bool, err error) {
+	m.mu.Lock()
+	f := m.m[key]
+	if f == nil {
+		if m.m == nil {
+			m.m = map[string]*flight[T]{}
+		}
+		f = &flight[T]{}
+		m.m[key] = f
+	}
+	m.mu.Unlock()
+	f.once.Do(func() { first = true; f.val, f.err = fn() })
+	return f.val, first, f.err
 }
 
-func newMachine(p *isa.Program, cfg core.Config, input []byte) (machine, error) {
-	env := interp.NewSysEnv()
-	if input != nil {
-		env.In = bytes.NewReader(input)
-	}
-	if cfg.NumUnits <= 1 && len(p.Tasks) == 0 {
-		return core.NewScalar(p, env, cfg), nil
-	}
-	return core.NewMultiscalar(p, env, cfg)
+func (m *memo[T]) reset() {
+	m.mu.Lock()
+	m.m = nil
+	m.mu.Unlock()
 }
 
-// runShared simulates one (program, configuration, input) point and
-// verifies it against oracle o, sharing the work of duplicate points as
-// described above. what labels errors.
-func runShared(p *isa.Program, o Oracle, cfg core.Config, input []byte, what string) (*core.Result, error) {
-	applyRunFlags(&cfg)
-	spec := job.Spec{Op: job.OpSimulate, Program: p, Config: cfg, Stdin: input}
+type built struct {
+	prog   *isa.Program
+	oracle *job.Oracle
+}
+
+// buildOracle returns workload w built in the given mode and its
+// functional oracle, memoized per assemble-spec key. The returned Program
+// is shared and must not be mutated — clone (cloneProgram) before
+// transforming it.
+func buildOracle(w *workloads.Workload, mode asm.Mode, scale Scale) (*isa.Program, *job.Oracle, error) {
+	spec := &job.Spec{Op: job.OpAssemble, Workload: w.Name, Mode: mode, Scale: scale.of(w)}
 	key, err := spec.Key()
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", what, err)
+		return nil, nil, err
 	}
-	simMu.Lock()
-	e := simMemo[key]
-	if e == nil {
-		e = &simEntry{}
-		simMemo[key] = e
-	}
-	simMu.Unlock()
-
-	check := func(res *core.Result) error {
-		if res.Out != o.Out || res.Committed != o.ICount {
-			return fmt.Errorf("diverged from oracle (committed %d vs %d)", res.Committed, o.ICount)
-		}
-		return nil
-	}
-	var res *core.Result
-	e.once.Do(func() {
-		m, err := newMachine(p, cfg, input)
+	b, _, err := oracles.do(key, func() (built, error) {
+		buildsPerformed.Add(1)
+		p, err := spec.Resolve()
 		if err != nil {
-			e.err = err
-			return
+			return built{}, err
 		}
-		r, err := m.Run()
-		if err != nil {
-			e.err = err
-			return
-		}
-		if e.err = check(r); e.err != nil {
-			return
-		}
-		recordRun(r)
-		if e.snap, e.err = m.Save(); e.err == nil {
-			res = r
-		}
+		o, err := job.RunOracle(p, nil, 0)
+		return built{p, o}, err
 	})
-	if e.err != nil {
-		return nil, fmt.Errorf("%s: %w", what, e.err)
-	}
-	if res == nil { // duplicate point: fast-forward over the shared run
-		m, err := newMachine(p, cfg, input)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", what, err)
-		}
-		if err := m.Restore(e.snap); err != nil {
-			return nil, fmt.Errorf("%s: restoring shared run: %w", what, err)
-		}
-		if res, err = m.Run(); err != nil {
-			return nil, fmt.Errorf("%s: %w", what, err)
-		}
-		if err := check(res); err != nil {
-			return nil, fmt.Errorf("%s: %w", what, err)
-		}
-		runsRestored.Add(1)
-	}
-	return res, nil
+	return b.prog, b.oracle, err
+}
+
+// ResetMemo drops the oracle and simulation memos and job's build memo
+// (tests and long-lived hosts).
+func ResetMemo() {
+	oracles.reset()
+	sims.reset()
+	job.ResetBuildMemo()
 }
 
 // BuildsPerformed returns how many assemble+oracle executions have
 // actually run in this process (memo misses).
 func BuildsPerformed() uint64 { return buildsPerformed.Load() }
+
+// RunsRestored reports how many simulation points were answered from the
+// memo of verified results rather than simulated again.
+func RunsRestored() uint64 { return runsRestored.Load() }
+
+// runShared simulates one (program, configuration) point through
+// job.Execute and checks it against oracle o, memoized per simulate-spec
+// key. The spec does not set Verify: o is the memoized oracle, so the
+// program is not interpreted again for every point. what labels errors.
+func runShared(p *isa.Program, o *job.Oracle, cfg core.Config, what string) (*core.Result, error) {
+	spec := job.Spec{Op: job.OpSimulate, Program: p, Config: cfg}
+	key, err := spec.Key()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", what, err)
+	}
+	res, first, err := sims.do(key, func() (core.Result, error) {
+		out, err := job.Execute(&spec, nil)
+		if err != nil {
+			return core.Result{}, err
+		}
+		r := out.Result
+		if r.Out != o.Out || r.Committed != o.ICount {
+			return core.Result{}, fmt.Errorf("diverged from oracle (committed %d vs %d)", r.Committed, o.ICount)
+		}
+		recordRun(r)
+		return *r, nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", what, err)
+	}
+	if !first {
+		runsRestored.Add(1)
+	}
+	return &res, nil
+}
 
 // cloneProgram returns a copy whose Text may be mutated freely (the
 // ablations transform binaries in place). Data, task descriptors and
@@ -330,23 +219,6 @@ func cloneProgram(p *isa.Program) *isa.Program {
 	q := *p
 	q.Text = append([]isa.Instr(nil), p.Text...)
 	return &q
-}
-
-// noSkip, when set, disables the simulator's wakeup scheduler for every
-// harness run (core.Config.NoSkip): the msbench -noskip flag, used to
-// demonstrate that tables are byte-identical with and without cycle
-// skipping and to measure the skip's wall-clock effect.
-var noSkip atomic.Bool
-
-// SetNoSkip forces dense ticking (no cycle skipping) in all subsequent
-// harness simulations.
-func SetNoSkip(v bool) { noSkip.Store(v) }
-
-// applyRunFlags applies process-wide harness toggles to one run's config.
-func applyRunFlags(cfg *core.Config) {
-	if noSkip.Load() {
-		cfg.NoSkip = true
-	}
 }
 
 // Aggregate simulated-work counters behind the JSON report's throughput

@@ -9,6 +9,7 @@ import (
 
 	"multiscalar/internal/asm"
 	"multiscalar/internal/core"
+	"multiscalar/internal/interp"
 	"multiscalar/internal/isa"
 	"multiscalar/internal/workloads"
 )
@@ -253,10 +254,10 @@ func TestCloneProgramIsolatesText(t *testing.T) {
 	}
 }
 
-// TestRunSharingMatchesIsolated pins the fast-forward discipline the
-// shared-run cache promises: a duplicate simulation point, answered by
-// restoring the first run's finished-machine snapshot and re-running,
-// must produce a Result identical to a fresh, isolated full simulation.
+// TestRunSharingMatchesIsolated pins the shared-run memo's contract: a
+// duplicate simulation point, answered from the memo of verified
+// results, gets its own copy of a Result identical to the first run's
+// and to a fresh, isolated full simulation.
 func TestRunSharingMatchesIsolated(t *testing.T) {
 	ResetMemo()
 	w := workloads.Get("wc")
@@ -268,26 +269,26 @@ func TestRunSharingMatchesIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig(4, 1, false)
-	input := inputFor(w.Name)
 
-	first, err := runShared(p, o, cfg, input, "first point")
+	first, err := runShared(p, o, cfg, "first point")
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := RunsRestored()
-	dup, err := runShared(p, o, cfg, input, "duplicate point")
+	dup, err := runShared(p, o, cfg, "duplicate point")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := RunsRestored() - before; got != 1 {
-		t.Fatalf("RunsRestored delta = %d, want 1 (duplicate must fast-forward)", got)
+		t.Fatalf("RunsRestored delta = %d, want 1 (duplicate must come from the memo)", got)
+	}
+	if first == dup {
+		t.Error("duplicate shares the first run's *core.Result")
 	}
 
 	// Isolated reference: a fresh machine simulating the point in full,
-	// outside the cache. applyRunFlags mirrors what runShared applied.
-	refCfg := cfg
-	applyRunFlags(&refCfg)
-	m, err := newMachine(p, refCfg, input)
+	// outside the memo.
+	m, err := core.NewMultiscalar(p, interp.NewSysEnv(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,9 +297,61 @@ func TestRunSharingMatchesIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(dup, isolated) {
-		t.Errorf("restored duplicate diverges from isolated run:\nrestored: %+v\nisolated: %+v", dup, isolated)
+		t.Errorf("memoized duplicate diverges from isolated run:\nmemoized: %+v\nisolated: %+v", dup, isolated)
 	}
 	if !reflect.DeepEqual(first, dup) {
-		t.Errorf("restored duplicate diverges from the run that built the snapshot:\nfirst: %+v\ndup:   %+v", first, dup)
+		t.Errorf("memoized duplicate diverges from the first run:\nfirst: %+v\ndup:   %+v", first, dup)
+	}
+}
+
+// TestAllWorkCounters pins the work an msbench -all -quick run does:
+// the sections -all runs, in its order (the ablation list mirrors
+// cmd/msbench's runAblations), from cold memos. The counters are
+// host-independent — single flight makes every key build or simulate
+// exactly once whatever the worker count — so a change that adds,
+// drops or duplicates work fails here.
+func TestAllWorkCounters(t *testing.T) {
+	ResetMemo()
+	runs0, cycles0, instrs0 := SimTotals()
+	ticked0, restored0, builds0 := SimTicked(), RunsRestored(), BuildsPerformed()
+
+	const scale = Scale(-1)
+	steps := []func() error{
+		func() error { _, err := Table2(scale); return err },
+		func() error { _, err := PerfTable(1, false, scale); return err },
+		func() error { _, err := PerfTable(2, false, scale); return err },
+		func() error { _, err := PerfTable(1, true, scale); return err },
+		func() error { _, err := PerfTable(2, true, scale); return err },
+		func() error { _, err := Breakdown(8, scale); return err },
+		func() error { _, err := UnitSweep("example", scale, []int{1, 2, 4, 8, 16}); return err },
+		func() error { _, err := RingLatencySweep("compress", scale, []int{0, 1, 2, 4, 8}); return err },
+		func() error { _, err := ARBSweep("tomcatv", scale, []int{2, 8, 256}); return err },
+		func() error { _, err := ForwardingAblation("wc", scale); return err },
+		func() error { _, err := PredictorAblation("gcc", scale); return err },
+		func() error { _, err := SharedFUAblation("tomcatv", scale); return err },
+		func() error { _, err := SpeedupCurves(1, false, scale, []int{2, 4, 8, 16}); return err },
+		func() error { _, err := Mixes(scale); return err },
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+
+	runs, cycles, instrs := SimTotals()
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"builds", BuildsPerformed() - builds0, 20},
+		{"sim runs", runs - runs0, 154},
+		{"runs restored", RunsRestored() - restored0, 49},
+		{"sim cycles", cycles - cycles0, 661367},
+		{"sim cycles ticked", SimTicked() - ticked0, 635737},
+		{"sim instructions", instrs - instrs0, 1009028},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
+		}
 	}
 }

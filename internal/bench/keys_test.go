@@ -122,7 +122,8 @@ func TestBuildKeyPartitionMatchesLegacy(t *testing.T) {
 	keys := make([]string, len(pts))
 	for i, p := range pts {
 		legacy[i] = legacyBuildKey{name: p.w.Name, mode: p.mode, scale: p.scale.of(p.w), stdin: legacyHashOf(p.stdin)}
-		k, err := buildSpec(p.w, p.mode, p.scale, p.stdin).Key()
+		spec := job.Spec{Op: job.OpAssemble, Workload: p.w.Name, Mode: p.mode, Scale: p.scale.of(p.w), Stdin: p.stdin}
+		k, err := spec.Key()
 		if err != nil {
 			t.Fatal(err)
 		}

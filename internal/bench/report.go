@@ -43,8 +43,9 @@ type Report struct {
 	// Builds that actually ran (memo misses): assemble + functional
 	// oracle executions.
 	Builds uint64 `json:"builds"`
-	// Simulation points answered by restoring a shared finished-run
-	// snapshot instead of simulating again (docs/perf.md).
+	// Simulation points answered from the memo of verified results
+	// instead of simulating again (docs/perf.md). The name is kept for
+	// readers of earlier reports.
 	RunsRestored uint64 `json:"runs_restored"`
 	// Sampled-simulation work (docs/perf.md, "Sampled simulation"):
 	// estimates produced, detailed windows measured across them, and the

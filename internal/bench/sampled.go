@@ -79,18 +79,16 @@ func RunSampled(scale Scale) ([]SampledRow, error) {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		cfg := core.DefaultConfig(8, 2, true)
-		input := inputFor(name)
-		full, err := runShared(p, o, cfg, input,
+		full, err := runShared(p, o, cfg,
 			fmt.Sprintf("%s sampled-baseline scale=%d", name, int(eff)))
 		if err != nil {
 			return nil, err
 		}
-		var runCfg core.Config = cfg
-		applyRunFlags(&runCfg)
-		est, err := sample.Run(p, runCfg, sample.Params{}, input, job.DefaultMaxInstrs, RunJobs)
+		out, err := job.Execute(&job.Spec{Op: job.OpSampled, Program: p, Config: cfg}, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
+		est := out.Sampled
 		recordSampled(est)
 		rows = append(rows, SampledRow{
 			Name:        name,

@@ -37,6 +37,30 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestContainerBytesDeterministic pins that one program always encodes
+// to the same bytes: job keys hash this encoding, so symbol-table map
+// order must not leak into it.
+func TestContainerBytesDeterministic(t *testing.T) {
+	p := sampleProgram()
+	p.Symbols = map[string]uint32{}
+	for i := 0; i < 32; i++ {
+		p.Symbols[string(rune('a'+i%26))+string(rune('A'+i))] = uint32(0x1000 + 4*i)
+	}
+	var first bytes.Buffer
+	if err := WriteProgram(&first, p); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		var buf bytes.Buffer
+		if err := WriteProgram(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), first.Bytes()) {
+			t.Fatalf("encoding %d differs from the first", i)
+		}
+	}
+}
+
 func TestContainerRejectsGarbage(t *testing.T) {
 	if _, err := ReadProgram(bytes.NewReader([]byte("not a container"))); err == nil {
 		t.Error("garbage should fail")

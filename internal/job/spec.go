@@ -4,7 +4,7 @@
 // machine Config, the program input, the run bounds, and the artifacts
 // the caller wants back — and hashes to a stable content-addressed Key.
 // Everything that caches or serves simulation work keys on it: the bench
-// harness's build/oracle and shared-run snapshot memos, the msserve
+// harness's oracle and verified-result memos, the msserve
 // result cache, and the public SubmitJob facade all consume the same key
 // instead of hand-rolled tuples.
 package job
@@ -66,11 +66,12 @@ const (
 	// configuration has at most one unit and the binary carries no task
 	// descriptors, otherwise the multiscalar processor.
 	MachineAuto MachineSel = iota
-	// MachineScalar forces the scalar baseline (the deprecated RunScalar
-	// contract).
+	// MachineScalar forces the scalar baseline (the wire "machine":
+	// "scalar" selector).
 	MachineScalar
-	// MachineMultiscalar forces the multiscalar machine (the deprecated
-	// RunMultiscalar contract; the program must carry task descriptors).
+	// MachineMultiscalar forces the multiscalar machine; the program must
+	// carry task descriptors (the wire "multiscalar" selector and
+	// internal/litmus).
 	MachineMultiscalar
 )
 

@@ -102,9 +102,6 @@ func WithoutLint() AssembleOption {
 	return func(o *asm.Options) { o.NoLint = true }
 }
 
-// AssembleOptions is the flat form of the assembly options.
-type AssembleOptions = asm.Options
-
 // AssembleResult carries the assembled program plus the source line table
 // and, for multiscalar builds, the annotation-contract lint report.
 type AssembleResult = asm.Result
@@ -120,20 +117,6 @@ func Assemble(src string, opts ...AssembleOption) (*AssembleResult, error) {
 		opt(&o)
 	}
 	return asm.AssembleOpts(src, o)
-}
-
-// AssembleMode assembles for a mode and returns just the program.
-//
-// Deprecated: use Assemble(src, WithMode(mode)).
-func AssembleMode(src string, mode Mode) (*Program, error) {
-	return asm.Assemble(src, mode)
-}
-
-// AssembleFull is Assemble with a flat options struct.
-//
-// Deprecated: use Assemble with AssembleOption values.
-func AssembleFull(src string, opts AssembleOptions) (*AssembleResult, error) {
-	return asm.AssembleOpts(src, opts)
 }
 
 // Lint checks an assembled program against the annotation contract. The
@@ -316,41 +299,6 @@ func Run(p *Program, cfg Config, opts ...RunOption) (*Result, error) {
 		return nil, err
 	}
 	return out.Result, nil
-}
-
-// RunScalar simulates a scalar-mode binary on the baseline processor.
-//
-// Deprecated: use Run with a ScalarConfig.
-func RunScalar(p *Program, cfg Config) (*Result, error) {
-	out, err := job.Execute(&job.Spec{
-		Op: job.OpSimulate, Machine: job.MachineScalar, Program: p, Config: cfg,
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out.Result, nil
-}
-
-// RunMultiscalar simulates a multiscalar binary (it must carry task
-// descriptors) on a multiscalar processor.
-//
-// Deprecated: use Run.
-func RunMultiscalar(p *Program, cfg Config) (*Result, error) {
-	out, err := job.Execute(&job.Spec{
-		Op: job.OpSimulate, Machine: job.MachineMultiscalar, Program: p, Config: cfg,
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out.Result, nil
-}
-
-// Verify runs a program on the oracle and the given machine configuration
-// and checks architectural equivalence; it returns the timing result.
-//
-// Deprecated: use Run(p, cfg, WithVerify()).
-func Verify(p *Program, cfg Config) (*Result, error) {
-	return Run(p, cfg, WithVerify())
 }
 
 // Simulation as a service (docs/serve.md). A JobSpec is the first-class

@@ -87,31 +87,6 @@ func TestFacadeRejectsUnannotated(t *testing.T) {
 	}
 }
 
-// TestFacadeDeprecatedWrappers keeps the pre-options entry points working.
-func TestFacadeDeprecatedWrappers(t *testing.T) {
-	prog, err := multiscalar.AssembleMode(apiDemo, multiscalar.ModeMultiscalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := multiscalar.AssembleFull(apiDemo, multiscalar.AssembleOptions{Mode: multiscalar.ModeMultiscalar})
-	if err != nil || full.Prog == nil || len(full.Lines) == 0 {
-		t.Fatalf("AssembleFull = %+v, %v", full, err)
-	}
-	if _, err := multiscalar.RunMultiscalar(prog, multiscalar.DefaultConfig(4, 1, false)); err != nil {
-		t.Fatal(err)
-	}
-	scProg, err := multiscalar.AssembleMode(apiDemo, multiscalar.ModeScalar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := multiscalar.RunScalar(scProg, multiscalar.ScalarConfig(1, false)); err != nil {
-		t.Fatal(err)
-	}
-	if res, err := multiscalar.Verify(prog, multiscalar.DefaultConfig(4, 1, false)); err != nil || res.Out != "1275" {
-		t.Fatalf("Verify = %+v, %v", res, err)
-	}
-}
-
 // TestFacadeSubmitJob drives the job facade: a JobSpec submitted twice
 // is answered from the content-addressed cache the second time, and the
 // cached result agrees with a direct Run of the same program and config.
